@@ -1524,6 +1524,106 @@ let e18 ~sink ~jobs ~quick =
   |> List.iter (Table.add_row t);
   print_table ~sink ~name:"e18" t
 
+(* ------------------------------------------------------------------ *)
+(* E19: scheduler cost scaling (no paper claim).  Every pulse count is
+   schedule-independent, so the only thing a scheduler changes is the
+   time per delivery; this table shows which schedulers stay within 2x
+   of random's O(1) pick as n grows and which still scan every
+   non-empty link. *)
+
+let e19_kind (s : Scheduler.t) =
+  match s.Scheduler.name with
+  | "fifo-cw-priority" | "global-fifo" | "bias-cw" | "bias-ccw" -> "index"
+  | "random" -> "O(1)"
+  | _ -> "scan"
+
+let e19 ~sink ~quick =
+  section
+    "E19 Scheduler cost scaling  --  Algorithm 2, ID_max = 2n, ns per\n\
+     delivery (median of >= 3 repeats; spread = interquartile range /\n\
+     median; wall-clock, informational).  kind: 'index' picks read\n\
+     the head index (O(log k) per head change), 'scan' picks walk all\n\
+     k non-empty links.  Rows run one at a time.";
+  let t =
+    Table.create
+      [
+        ("n", Table.Right);
+        ("scheduler", Table.Left);
+        ("kind", Table.Left);
+        ("deliveries", Table.Right);
+        ("exact", Table.Left);
+        ("ns/delivery", Table.Right);
+        ("spread", Table.Right);
+        ("x random", Table.Right);
+        ("within 2x", Table.Left);
+      ]
+  in
+  let sizes = if quick then [ 64; 256 ] else [ 64; 256; 1024 ] in
+  List.iter
+    (fun n ->
+      let id_max = 2 * n in
+      (* Enough repeats for ~4M deliveries per cell (1M in quick mode),
+         and never fewer than three, so small rings are not timed off
+         a few milliseconds of run. *)
+      let repeats =
+        max 3
+          ((if quick then 1_000_000 else 4_000_000)
+          / Formulas.algo2_total ~n ~id_max)
+      in
+      let ids = Ids.distinct (Rng.create ~seed:n) ~n ~id_max in
+      let topo = Topology.oriented n in
+      let measure make_sched =
+        let times =
+          Array.init repeats (fun _ ->
+              let sched = make_sched () in
+              let t0 = Unix.gettimeofday () in
+              let r = Election.run_report Election.Algo2 ~topo ~ids ~sched in
+              let dt = Unix.gettimeofday () -. t0 in
+              (dt, r))
+        in
+        let ns =
+          Array.map
+            (fun (dt, r) -> dt *. 1e9 /. float_of_int r.Election.deliveries)
+            times
+        in
+        Array.sort Float.compare ns;
+        let med = ns.(repeats / 2) in
+        let q1 = ns.(repeats / 4) and q3 = ns.(3 * repeats / 4) in
+        (snd times.(0), med, (q3 -. q1) /. med)
+      in
+      (* Fresh instances per repeat: round-robin is stateful. *)
+      let makers =
+        List.init (List.length (Scheduler.all_deterministic ())) (fun i () ->
+            List.nth (Scheduler.all_deterministic ()) i)
+        @ [ (fun () -> Scheduler.random (Rng.create ~seed:n)) ]
+      in
+      let results =
+        List.map
+          (fun make -> (make (), measure make))
+          makers
+      in
+      let _, (_, random_ns, _) = List.nth results (List.length results - 1) in
+      List.iter
+        (fun (sched, (r, ns, spread)) ->
+          let ratio = ns /. random_ns in
+          Table.add_row t
+            [
+              Table.cell_int n;
+              sched.Scheduler.name;
+              e19_kind sched;
+              Table.cell_int r.Election.deliveries;
+              yes_no
+                (Election.ok r
+                && r.Election.deliveries = Formulas.algo2_total ~n ~id_max);
+              Table.cell_float ~decimals:0 ns;
+              Table.cell_float ~decimals:2 spread;
+              Table.cell_ratio ratio;
+              yes_no (ratio <= 2.0);
+            ])
+        results)
+    sizes;
+  print_table ~sink ~name:"e19" t
+
 let all ~sink ~jobs ~quick =
   e16 ~sink ~quick;
   e1 ~sink ~jobs ~quick;
@@ -1542,4 +1642,5 @@ let all ~sink ~jobs ~quick =
   e13 ~sink ~jobs ~quick;
   e14 ~sink ~jobs ~quick;
   e15 ~sink ~jobs ~quick;
-  e18 ~sink ~jobs ~quick
+  e18 ~sink ~jobs ~quick;
+  e19 ~sink ~quick

@@ -71,6 +71,7 @@ let () =
     if want "e14" then Experiments.e14 ~sink ~jobs ~quick;
     if want "e15" then Experiments.e15 ~sink ~jobs ~quick;
     if want "e18" then Experiments.e18 ~sink ~jobs ~quick;
+    if want "e19" then Experiments.e19 ~sink ~quick;
     if want "timing" then Timing.run ()
     else if want "throughput" then Timing.throughput ~quick ()
   in

@@ -105,6 +105,7 @@ type t = {
   enabled : bool array;
   scheds : Scheduler.t array;
   views : Scheduler.view array;
+  heads : Head_index.t array; (* each slot view's head index *)
   (* One inert stream shared by every slot loaded with [~rng:false];
      never drawn from (the caller promises the programs are
      deterministic), it only keeps the api records total. *)
@@ -140,6 +141,17 @@ let unmark t s link =
   t.link_pos.(lp) <- -1;
   t.nonempty_count.(s) <- last
 
+(* Report a change of [link]'s head to slot [s]'s head index (one
+   field read while it is inactive); see {!Network}. *)
+let index_head t s link =
+  let q = t.chans.((s * t.links) + link) in
+  let h = t.heads.(s) in
+  if q.len = 0 then Head_index.remove h link
+  else Head_index.set h link ~seq:(pq_head_seq q) ~batch:(pq_head_batch q)
+
+let[@inline] touch t s link =
+  if t.heads.(s).Head_index.active then index_head t s link
+
 (* [node]'s part of the envelope stamp ([local_clock] index and the
    sink's node label) is passed pre-offset by the api closures. *)
 let enqueue t s ~link ~node ~nv ~port =
@@ -150,6 +162,7 @@ let enqueue t s ~link ~node ~nv ~port =
     t.chans.((s * t.links) + link)
     ~seq ~batch:t.next_batch.(s)
     ~depth:(t.local_clock.(nv) + 1);
+  touch t s link;
   t.in_flight.(s) <- t.in_flight.(s) + 1;
   t.sends.(s) <- t.sends.(s) + 1;
   if t.cw.(link) then t.sends_cw.(s) <- t.sends_cw.(s) + 1;
@@ -163,6 +176,7 @@ let deliver t s link =
   let depth = q.meta.(h + 2) in
   pq_pop q;
   if q.len = 0 then unmark t s link;
+  touch t s link;
   t.in_flight.(s) <- t.in_flight.(s) - 1;
   let dst = t.dst_node.(link) in
   let nv = (s * t.n) + dst in
@@ -259,6 +273,7 @@ let make_view t s =
     travels_cw = (fun link -> if t.cw.(link) then Some true else Some false);
     dst_node = (fun link -> t.dst_node.(link));
     step = 0;
+    heads = t.heads.(s);
   }
 
 let make_api t s v =
@@ -339,6 +354,7 @@ let dummy_view =
     travels_cw = (fun _ -> None);
     dst_node = (fun _ -> 0);
     step = 0;
+    heads = Head_index.create ~links:0;
   }
 
 let create ?(slots = 256) topo =
@@ -389,6 +405,7 @@ let create ?(slots = 256) topo =
       enabled = Array.make k false;
       scheds = Array.make k Scheduler.fifo;
       views = Array.make k dummy_view;
+      heads = Array.init k (fun _ -> Head_index.create ~links);
       dummy_rng;
     }
   in
@@ -423,6 +440,7 @@ let reset_slot t s =
     t.programs.(nbase + v) <- Network.silent_program
   done;
   t.nonempty_count.(s) <- 0;
+  Head_index.deactivate t.heads.(s);
   t.next_seq.(s) <- 0;
   t.next_batch.(s) <- 0;
   t.in_flight.(s) <- 0;

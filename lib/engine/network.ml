@@ -99,6 +99,9 @@ type 'm t = {
   link_pos : int array;
   mutable nonempty_count : int;
   mutable view : Scheduler.view;
+  (* The view's head index (also reachable as [view.heads]): inactive
+     until a FIFO-family pick starts it, then kept current by [touch]. *)
+  heads : Head_index.t;
   (* Incremental-undo support: [ulog] collects the current step's wake
      effects while [logging] is set (only inside [force_step_undo]);
      [undo_ok] is fixed at creation — every program must carry a
@@ -129,6 +132,13 @@ let unmark_if_empty t link =
     t.nonempty_count <- last
   end
 
+(* Report a change of [link]'s head to the scheduler's head index.
+   Inactive (the common case for every non-FIFO scheduler) this is one
+   field read. *)
+let[@inline] touch t link =
+  if t.heads.Head_index.active then
+    Head_index.refresh t.heads link t.channels.(link)
+
 (* The one enqueue path: [send] and [inject] share it, so both stamp
    envelopes with the batch convention of the current activation
    ([t.next_batch] is bumped at activation boundaries only).  Sink
@@ -141,6 +151,7 @@ let enqueue t ~link ~node ~port m =
   mark_nonempty t link;
   Envq.push t.channels.(link) m ~seq ~batch:t.next_batch
     ~depth:(t.local_clock.(node) + 1);
+  touch t link;
   t.in_flight <- t.in_flight + 1;
   if t.logging then ulog_send t.ulog link;
   t.sink.Sink.on_send ~node ~port:(Port.index port) ~seq ~link
@@ -206,6 +217,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
     (not user_sink.Sink.enabled)
     && Array.for_all (fun p -> Option.is_some p.snap) programs
   in
+  let heads = Head_index.create ~links:num_links in
   let t =
     {
       topo;
@@ -228,6 +240,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
       nonempty = Array.make num_links 0;
       link_pos = Array.make num_links (-1);
       nonempty_count = 0;
+      heads;
       ulog = ulog_create ();
       logging = false;
       undo_ok;
@@ -240,6 +253,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
           travels_cw = (fun _ -> None);
           dst_node = (fun _ -> 0);
           step = 0;
+          heads;
         };
     }
   in
@@ -260,6 +274,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
           else Some false);
       dst_node = (fun link -> fst (Topology.link_dst t.topo link));
       step = 0;
+      heads;
     };
   let root_rng = Rng.create ~seed in
   t.apis <- Array.init n (fun v -> make_api t v (Rng.split_at root_rng v));
@@ -282,6 +297,7 @@ let deliver_from t link =
   let depth = Envq.head_depth q in
   let payload = Envq.pop q in
   unmark_if_empty t link;
+  touch t link;
   t.in_flight <- t.in_flight - 1;
   let dst, dst_port = Topology.link_dst t.topo link in
   if t.term.(dst) then
@@ -409,6 +425,7 @@ let undo_step t u =
       let l = u.u_sent_links.(i) in
       ignore (Envq.pop_back t.channels.(l));
       unmark_if_empty t l;
+      touch t l;
       t.in_flight <- t.in_flight - 1;
       Metrics.undo_send t.metrics ~link:l ~node:dst
         ~cw:(Topology.link_travels_cw t.topo l)
@@ -445,6 +462,7 @@ let undo_step t u =
   Envq.push_front t.channels.(u.u_link) u.u_payload ~seq:u.u_seq
     ~batch:u.u_batch ~depth:u.u_depth;
   mark_nonempty t u.u_link;
+  touch t u.u_link;
   t.in_flight <- t.in_flight + 1
 
 let enabled_count t = t.nonempty_count

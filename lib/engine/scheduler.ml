@@ -6,6 +6,7 @@ type view = {
   travels_cw : int -> bool option;
   dst_node : int -> int;
   mutable step : int;
+  heads : Head_index.t;
 }
 
 type t = { name : string; pick : view -> int }
@@ -49,11 +50,23 @@ let k_batch v l = v.head_batch l
 let k_cw_first v l = match v.travels_cw l with Some true -> 0 | _ -> 1
 let k_zero _ _ = 0
 
-(* Key tuples are ordered lexicographically as (key1, key2, key3). *)
-let fifo =
-  { name = "fifo-cw-priority"; pick = argmin3 k_batch k_cw_first k_seq }
+(* The FIFO family reads the view's head index, built from the
+   non-empty buffer on the first indexed pick and kept current by the
+   view's owner from then on (see Head_index for why it agrees with
+   the argmin scans in [Scan]). *)
+let heads v =
+  let h = v.heads in
+  if not h.Head_index.active then
+    Head_index.activate h ~nonempty:v.nonempty ~count:v.count
+      ~head_seq:v.head_seq ~head_batch:v.head_batch ~travels_cw:v.travels_cw;
+  h
 
-let global_fifo = { name = "global-fifo"; pick = argmin3 k_seq k_zero k_zero }
+let fifo =
+  { name = "fifo-cw-priority"; pick = (fun v -> Head_index.fifo (heads v)) }
+
+let global_fifo =
+  { name = "global-fifo"; pick = (fun v -> Head_index.global_fifo (heads v)) }
+
 let lifo = { name = "lifo"; pick = argmin3 k_neg_seq k_zero k_zero }
 
 (* Smallest non-empty link at or after the cursor [c]; when none
@@ -84,14 +97,10 @@ let random rng =
     pick = (fun v -> v.nonempty.(Colring_stats.Rng.int rng v.count));
   }
 
+let bias_name cw = if cw then "bias-cw" else "bias-ccw"
+
 let bias_direction ~cw =
-  let k_pref v l =
-    match v.travels_cw l with Some d when Bool.equal d cw -> 0 | _ -> 1
-  in
-  {
-    name = (if cw then "bias-cw" else "bias-ccw");
-    pick = argmin3 k_pref k_seq k_zero;
-  }
+  { name = bias_name cw; pick = (fun v -> Head_index.bias (heads v) ~cw) }
 
 let starve_node ~node =
   let k_starved v l = if Int.equal (v.dst_node l) node then 1 else 0 in
@@ -155,5 +164,20 @@ let all_deterministic () =
     hog_node ~node:0;
     starve_link ~link:0;
   ]
+
+module Scan = struct
+  (* Key tuples are ordered lexicographically as (key1, key2, key3). *)
+  let fifo =
+    { name = "fifo-cw-priority"; pick = argmin3 k_batch k_cw_first k_seq }
+
+  let global_fifo =
+    { name = "global-fifo"; pick = argmin3 k_seq k_zero k_zero }
+
+  let bias_direction ~cw =
+    let k_pref v l =
+      match v.travels_cw l with Some d when Bool.equal d cw -> 0 | _ -> 1
+    in
+    { name = bias_name cw; pick = argmin3 k_pref k_seq k_zero }
+end
 
 let pp ppf t = Format.pp_print_string ppf t.name

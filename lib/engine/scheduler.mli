@@ -36,9 +36,27 @@ type view = {
           non-preferred and degrade to their FIFO tie-break. *)
   dst_node : int -> int;  (** Receiving node of a link. *)
   mutable step : int;  (** Deliveries performed so far. *)
+  heads : Head_index.t;
+      (** Index of the non-empty links by head age, read by {!fifo},
+          {!global_fifo} and {!bias_direction}.  The first such pick
+          activates it from {!nonempty}; from then on the view's
+          owner keeps it current by calling {!Head_index.set} /
+          {!Head_index.remove} on every change of a link's head (a
+          delivery, a send onto an empty link, and undo's re-file and
+          retraction).  The engines ({!Network}, [Gnetwork], each
+          {!Flock} slot) do this themselves.  Whoever hand-builds a
+          view and picks from it more than once with one of these
+          schedulers must do the same, or {!Head_index.deactivate} it
+          after changing the view so the next pick rebuilds it. *)
 }
 
 type t = { name : string; pick : view -> int }
+(** {b Cost per pick}, for k non-empty links: {!fifo}, {!global_fifo}
+    and {!bias_direction} read the view's head index, O(1) per pick
+    plus O(log k) per head change ({!Head_index}); {!random} is O(1);
+    {!of_schedule} checks each replayed link in O(k); {!lifo},
+    {!round_robin}, {!starve_node}, {!hog_node} and {!starve_link}
+    scan every non-empty link, O(k). *)
 
 val fifo : t
 (** Definition 21's scheduler: oldest pulse first, batch ties broken in
@@ -91,6 +109,16 @@ val of_schedule : ?name:string -> ?after:t -> int array -> t
     journals use it to carry the originating backend's name, so a
     replayed run's [run_start] record is byte-identical to the
     original's.  Stateful (an internal cursor): create one per run. *)
+
+module Scan : sig
+  val fifo : t
+  val global_fifo : t
+  val bias_direction : cw:bool -> t
+end
+(** The O(k) argmin-scan versions of the indexed schedulers, with the
+    same names.  They pick the same link as their indexed counterparts
+    on every view, and are kept as the oracle the tests compare them
+    against. *)
 
 val all_deterministic : unit -> t list
 (** Fresh instances of every deterministic scheduler above (node- and

@@ -84,6 +84,7 @@ type 'm t = {
   link_pos : int array;
   mutable nonempty_count : int;
   mutable view : Scheduler.view;
+  heads : Head_index.t; (* the view's head index; see Network *)
   (* Incremental-undo support (see the ring engine): [ulog] collects
      the current step's wake effects while [logging] is set; [undo_ok]
      is fixed at creation. *)
@@ -110,6 +111,12 @@ let unmark_if_empty t link =
     t.nonempty_count <- last
   end
 
+(* Report a change of [link]'s head to the scheduler's head index
+   (one field read while it is inactive). *)
+let[@inline] touch t link =
+  if t.heads.Head_index.active then
+    Head_index.refresh t.heads link t.channels.(link)
+
 let make_api t v rng =
   let mailbox p = t.mailboxes.(Gtopology.link_id t.topo ~node:v ~port:p) in
   let recv p =
@@ -131,6 +138,7 @@ let make_api t v rng =
     t.next_seq <- seq + 1;
     Envq.push t.channels.(link) m ~seq ~batch:t.next_batch ~depth:0;
     mark_nonempty t link;
+    touch t link;
     t.in_flight <- t.in_flight + 1;
     if t.logging then ulog_send t.ulog link;
     (* No global direction exists on a general graph, so every send is
@@ -181,6 +189,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
     (not user_sink.Sink.enabled)
     && Array.for_all (fun p -> Option.is_some p.snap) programs
   in
+  let heads = Head_index.create ~links in
   let t =
     {
       topo;
@@ -201,6 +210,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
       nonempty = Array.make links 0;
       link_pos = Array.make links (-1);
       nonempty_count = 0;
+      heads;
       ulog = ulog_create ();
       logging = false;
       undo_ok;
@@ -213,6 +223,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
           travels_cw = (fun _ -> None);
           dst_node = (fun _ -> 0);
           step = 0;
+          heads;
         };
     }
   in
@@ -227,6 +238,7 @@ let create ?(sink = Sink.null) ?(seed = 0) topo make_program =
       travels_cw = (fun _ -> None);
       dst_node = (fun link -> fst (Gtopology.link_dst t.topo link));
       step = 0;
+      heads;
     };
   let root_rng = Rng.create ~seed in
   t.apis <- Array.init n (fun v -> make_api t v (Rng.split_at root_rng v));
@@ -248,6 +260,7 @@ let deliver_from t link =
   let seq = Envq.head_seq q in
   let payload = Envq.pop q in
   unmark_if_empty t link;
+  touch t link;
   t.in_flight <- t.in_flight - 1;
   let dst, dst_port = Gtopology.link_dst t.topo link in
   if t.term.(dst) then t.sink.Sink.on_drop ~node:dst ~port:dst_port ~seq
@@ -350,6 +363,7 @@ let undo_step t u =
       let l = u.u_sent_links.(i) in
       ignore (Envq.pop_back t.channels.(l));
       unmark_if_empty t l;
+      touch t l;
       t.in_flight <- t.in_flight - 1;
       Metrics.undo_send t.metrics ~link:l ~node:dst ~cw:false
     done;
@@ -382,6 +396,7 @@ let undo_step t u =
   Envq.push_front t.channels.(u.u_link) u.u_payload ~seq:u.u_seq
     ~batch:u.u_batch ~depth:0;
   mark_nonempty t u.u_link;
+  touch t u.u_link;
   t.in_flight <- t.in_flight + 1
 
 let enabled_count t = t.nonempty_count

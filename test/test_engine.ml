@@ -490,6 +490,7 @@ let synthetic_view links =
     travels_cw = (fun _ -> None);
     dst_node = (fun _ -> 0);
     step = 0;
+    heads = Head_index.create ~links:128;
   }
 
 (* ------------------------------------------------------------------ *)

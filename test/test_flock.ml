@@ -27,7 +27,7 @@ let topology_of (s : Batch.spec) =
   if oriented s then Topology.oriented s.n
   else Topology.random_non_oriented (Rng.create ~seed:s.n) s.n
 
-let sequential_journal ?(events = false) (s : Batch.spec) =
+let sequential_journal ?(events = false) ?(sched = sched) (s : Batch.spec) =
   let b = Buffer.create 256 in
   ignore
     (Election.run_report ~seed:s.seed
@@ -36,7 +36,8 @@ let sequential_journal ?(events = false) (s : Batch.spec) =
        ~sched:(sched s.seed));
   Buffer.contents b
 
-let batch_journals ?(jobs = 1) ?(mode = Pool.Static) ?slots ?events specs =
+let batch_journals ?(jobs = 1) ?(mode = Pool.Static) ?slots ?events
+    ?(sched = sched) specs =
   let chunks = Array.make (Array.length specs) "" in
   ignore
     (Batch.run ~jobs ~mode ?slots ?events
@@ -46,13 +47,13 @@ let batch_journals ?(jobs = 1) ?(mode = Pool.Static) ?slots ?events specs =
 
 let spec algorithm n seed = { Batch.algorithm; n; seed; id_max = 2 * n }
 
-let check_byte_identical specs =
-  let expected = Array.map (fun s -> sequential_journal s) specs in
+let check_byte_identical ?(sched = sched) specs =
+  let expected = Array.map (fun s -> sequential_journal ~sched s) specs in
   List.iter
     (fun (mode, mode_name) ->
       List.iter
         (fun jobs ->
-          let got = batch_journals ~jobs ~mode specs in
+          let got = batch_journals ~jobs ~mode ~sched specs in
           Array.iteri
             (fun i chunk ->
               checks
@@ -72,10 +73,33 @@ let test_non_oriented_journals () =
   check_byte_identical
     (Array.init 6 (fun i -> spec Election.Algo3_resample 6 (i + 1)))
 
+(* Flock's default scheduler is [fifo], and the FIFO family reads a
+   per-slot head index that a reloaded slot must rebuild: pin the
+   same byte-identity under the deterministic FIFO-family schedulers,
+   over two waves of reloads. *)
+let test_fifo_family_journals () =
+  List.iter
+    (fun (s : Scheduler.t) ->
+      let sched _ = s in
+      check_byte_identical ~sched
+        (Array.init 5 (fun i -> spec Election.Algo2 8 (i + 1)));
+      check_byte_identical ~sched
+        (Array.init 3 (fun i -> spec Election.Algo3_resample 6 (i + 1)));
+      let specs = Array.init 5 (fun i -> spec Election.Algo2 6 (i + 21)) in
+      let expected = Array.map (fun s -> sequential_journal ~sched s) specs in
+      let got = batch_journals ~jobs:1 ~slots:2 ~sched specs in
+      Array.iteri
+        (fun i chunk ->
+          checks
+            (Printf.sprintf "%s wave job %d" s.Scheduler.name i)
+            expected.(i) chunk)
+        got)
+    [ Scheduler.fifo; Scheduler.global_fifo; Scheduler.bias_direction ~cw:false ]
+
 let test_event_journals () =
   (* Full per-event records, not just snapshots. *)
   let specs = Array.init 4 (fun i -> spec Election.Algo2 5 (i + 11)) in
-  let expected = Array.map (sequential_journal ~events:true) specs in
+  let expected = Array.map (fun s -> sequential_journal ~events:true s) specs in
   let got =
     batch_journals ~jobs:2 ~mode:Pool.Steal ~events:true specs
   in
@@ -202,6 +226,8 @@ let () =
             test_oriented_journals;
           Alcotest.test_case "non-oriented journals byte-identical" `Quick
             test_non_oriented_journals;
+          Alcotest.test_case "fifo-family journals byte-identical" `Quick
+            test_fifo_family_journals;
           Alcotest.test_case "event journals byte-identical" `Quick
             test_event_journals;
           Alcotest.test_case "wave split is invisible" `Quick

@@ -69,6 +69,69 @@ let test_null_sink_steady_state_allocates_nothing () =
        "sink adds no per-event allocation (%.3f words over 2000 steps)" dw)
     true (dw < 3_000.0)
 
+(* The FIFO family picks through the view's head index.  Once the
+   index is live (the first pick builds it), neither a pick nor the
+   engine's per-delivery index upkeep may allocate: a stepping window
+   under each indexed scheduler stays within the budget above, and
+   40,000 bare picks on a live view allocate nothing at all. *)
+let test_indexed_picks_allocate_nothing () =
+  let n = 64 in
+  let ids = Ids.dense (Rng.create ~seed:7) ~n in
+  let indexed =
+    [
+      Scheduler.fifo;
+      Scheduler.global_fifo;
+      Scheduler.bias_direction ~cw:true;
+      Scheduler.bias_direction ~cw:false;
+    ]
+  in
+  List.iter
+    (fun (s : Scheduler.t) ->
+      let net =
+        Network.create (Topology.oriented n) (fun v ->
+            Algo2.program ~id:ids.(v))
+      in
+      for _ = 1 to 1_000 do
+        ignore (Network.step net s)
+      done;
+      Gc.full_major ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 2_000 do
+        ignore (Network.step net s)
+      done;
+      let dw = Gc.minor_words () -. w0 in
+      checkb
+        (Printf.sprintf "%s: %.3f words over 2000 steps" s.Scheduler.name dw)
+        true (dw < 3_000.0))
+    indexed;
+  let net =
+    Network.create (Topology.oriented n) (fun v -> Algo2.program ~id:ids.(v))
+  in
+  for _ = 1 to 1_000 do
+    ignore (Network.step net Scheduler.fifo)
+  done;
+  let dw = ref nan in
+  let probe =
+    {
+      Scheduler.name = "probe";
+      pick =
+        (fun v ->
+          (* Direct picks, no closure per iteration: the loop itself
+             must not allocate either. *)
+          let a = Array.of_list indexed in
+          let w0 = Gc.minor_words () in
+          for i = 0 to 39_999 do
+            ignore (a.(i land 3).Scheduler.pick v)
+          done;
+          dw := Gc.minor_words () -. w0;
+          Scheduler.fifo.pick v);
+    }
+  in
+  checkb "stepped" true (Network.step net probe);
+  checkb
+    (Printf.sprintf "40000 indexed picks allocate nothing (%.1f words)" !dw)
+    true (!dw < 1.0)
+
 (* The pop-retention fix clears each popped slot with a plain store;
    a pop-heavy steady state (every iteration pops AND pushes on both
    queue kinds) must stay allocation-free — the clearing must not
@@ -364,6 +427,8 @@ let () =
             test_null_sink_steady_state_allocates_nothing;
           Alcotest.test_case "pop-heavy churn allocates nothing" `Quick
             test_pop_heavy_queue_churn_allocates_nothing;
+          Alcotest.test_case "indexed picks allocate nothing" `Quick
+            test_indexed_picks_allocate_nothing;
         ] );
       ( "memory",
         [
