@@ -1279,7 +1279,9 @@ let e14 ~sink ~jobs ~quick =
    sequentially; the checker itself fans its root branches out on the
    domain pool, so -j N parallelizes *inside* each row (the time and
    states/s columns are wall-clock and vary run to run; every other
-   column is deterministic and jobs-independent). *)
+   column is deterministic and jobs-independent).  Minor words/state is
+   a [Gc.minor_words] delta, which counts the calling domain only, so
+   with -j N > 1 it comes from an extra single-domain check of the row. *)
 let e15 ~sink ~jobs ~quick =
   section
     "E15 Model checker (lib/mc)  --  exhaustive schedule-space exploration\n\
@@ -1300,6 +1302,7 @@ let e15 ~sink ~jobs ~quick =
         ("undone", Table.Right);
         ("time (s)", Table.Right);
         ("states/s", Table.Right);
+        ("minor words/state", Table.Right);
         ("as expected", Table.Left);
       ]
   in
@@ -1308,9 +1311,15 @@ let e15 ~sink ~jobs ~quick =
     let (Colring_mc.Spec.Packed spec) =
       Colring_mc.Spec.of_target target ~ids ~topo_seed:2
     in
+    let minor_words jobs =
+      let w0 = Gc.minor_words () in
+      let r = Colring_mc.Mc.check ~jobs spec in
+      (r, Gc.minor_words () -. w0)
+    in
     let t0 = Unix.gettimeofday () in
-    let r = Colring_mc.Mc.check ~jobs spec in
+    let r, words = minor_words jobs in
     let dt = Unix.gettimeofday () -. t0 in
+    let words = if jobs = 1 then words else snd (minor_words 1) in
     let s = r.Colring_mc.Mc.stats in
     let ok =
       if spec.Colring_mc.Mc.expect_violation then
@@ -1330,6 +1339,8 @@ let e15 ~sink ~jobs ~quick =
         Table.cell_float ~decimals:3 dt;
         Table.cell_float ~decimals:0
           (float_of_int s.Colring_mc.Mc.states /. Float.max dt 1e-6);
+        Table.cell_float ~decimals:0
+          (words /. float_of_int (max 1 s.Colring_mc.Mc.states));
         yes_no ok;
       ]
   in

@@ -52,14 +52,27 @@ let id_max_arg =
     & info [ "id-max" ] ~docv:"MAX"
         ~doc:"Largest assignable ID (default: 2n). IDs are distinct, MAX is used.")
 
+let sched_conv =
+  let parse s =
+    Result.map_error
+      (fun msg -> `Msg msg)
+      (Harness.Cli.scheduler ~flag:"--scheduler" s)
+  in
+  Arg.conv
+    ( parse,
+      fun ppf (sched : Harness.Cli.scheduler) ->
+        Format.pp_print_string ppf sched.name )
+
 let sched_arg =
   Arg.(
     value
-    & opt string "random"
+    & opt sched_conv
+        (Result.get_ok (Harness.Cli.scheduler ~flag:"--scheduler" "random"))
     & info [ "scheduler" ] ~docv:"NAME"
         ~doc:
-          "Delivery adversary: random, fifo, global-fifo, lifo, round-robin, \
-           bias-cw, bias-ccw.")
+          ("Delivery adversary: "
+          ^ String.concat ", " Harness.Cli.scheduler_names
+          ^ "."))
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
@@ -119,17 +132,6 @@ let topology_arg =
     value
     & opt topo_conv (Harness.Topo.Ring None)
     & info [ "topology" ] ~docv:"TOPO" ~doc:topology_doc)
-
-let scheduler_of_name name ~seed =
-  match name with
-  | "random" -> Scheduler.random (Rng.create ~seed)
-  | "fifo" -> Scheduler.fifo
-  | "global-fifo" -> Scheduler.global_fifo
-  | "lifo" -> Scheduler.lifo
-  | "round-robin" -> Scheduler.round_robin ()
-  | "bias-cw" -> Scheduler.bias_direction ~cw:true
-  | "bias-ccw" -> Scheduler.bias_direction ~cw:false
-  | other -> failwith (Printf.sprintf "unknown scheduler %S" other)
 
 let make_ids ~n ~id_max ~seed =
   let id_max = Option.value ~default:(2 * n) id_max in
@@ -267,13 +269,13 @@ let print_greport (r : Colring_graph.Gelection.report) =
    engine.  Only the direct simulator path exists here — the transport
    backends, fault injection and the trace/diagram renderers are ring
    machinery. *)
-let gelect topo_spec ~n ~seed ~id_max ~sched_name ~journal ~snapshot_every
+let gelect topo_spec ~n ~seed ~id_max ~sched_choice ~journal ~snapshot_every
     ~max_deliveries =
   let g = Harness.Topo.materialize ~default_n:n topo_spec in
   let module G = Colring_graph.Gtopology in
   let n = G.n g in
   let ids = make_ids ~n ~id_max ~seed in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_choice.Harness.Cli.make ~seed in
   let plan = Colring_graph.Gelection.plan g in
   Printf.printf "topology: %s (%d nodes, %d links)\n"
     (Harness.Topo.to_string topo_spec)
@@ -288,7 +290,7 @@ let gelect topo_spec ~n ~seed ~id_max ~sched_name ~journal ~snapshot_every
   print_output_array (Colring_graph.Gnetwork.outputs net);
   if Colring_graph.Gelection.ok report then 0 else 1
 
-let elect n seed id_max sched_name algo trace diagram journal snapshot_every
+let elect n seed id_max sched_choice algo trace diagram journal snapshot_every
     backend latency jitter max_deliveries topology =
   if not (Harness.Topo.is_ring topology) then begin
     if backend <> Backend.Sim || latency <> 0 || jitter <> 0 || trace || diagram
@@ -299,7 +301,7 @@ let elect n seed id_max sched_name algo trace diagram journal snapshot_every
       2
     end
     else
-      gelect topology ~n ~seed ~id_max ~sched_name ~journal ~snapshot_every
+      gelect topology ~n ~seed ~id_max ~sched_choice ~journal ~snapshot_every
         ~max_deliveries
   end
   else
@@ -311,7 +313,7 @@ let elect n seed id_max sched_name algo trace diagram journal snapshot_every
     | Election.Algo3 _ | Election.Algo3_resample ->
         Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n
   in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_choice.Harness.Cli.make ~seed in
   let faults =
     if latency = 0 && jitter = 0 then Transport.no_fault
     else Transport.faults ~seed ~latency ~jitter ()
@@ -373,10 +375,10 @@ let elect_cmd =
 (* ------------------------------------------------------------------ *)
 (* orient *)
 
-let orient n seed id_max sched_name =
+let orient n seed id_max sched_choice =
   let ids = make_ids ~n ~id_max ~seed in
   let topo = Topology.random_non_oriented (Rng.create ~seed:(seed + 1)) n in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_choice.Harness.Cli.make ~seed in
   Format.printf "%a@." Topology.pp topo;
   let report, net =
     Election.run (Election.Algo3 Algo3.Improved) ~topo ~ids ~sched
@@ -409,7 +411,7 @@ let c_arg =
     value & opt float 1.0
     & info [ "c" ] ~docv:"C" ~doc:"Algorithm 4 confidence parameter (c > 0).")
 
-let anonymous n seed c sched_name =
+let anonymous n seed c sched_choice =
   let rng = Rng.create ~seed in
   let ids = Sampling.sample_ring rng ~c ~n in
   Printf.printf "sampled ids: [%s]\n"
@@ -424,7 +426,7 @@ let anonymous n seed c sched_name =
   end
   else begin
     let topo = Topology.random_non_oriented rng n in
-    let sched = scheduler_of_name sched_name ~seed in
+    let sched = sched_choice.Harness.Cli.make ~seed in
     let report, net =
       Election.run (Election.Algo3 Algo3.Improved) ~topo ~ids ~sched
     in
@@ -481,9 +483,9 @@ let app_arg =
     & info [ "app" ] ~docv:"APP"
         ~doc:"discovery | gather | sum | chang-roberts | broadcast.")
 
-let compose n seed id_max sched_name app =
+let compose n seed id_max sched_choice app =
   let ids = make_ids ~n ~id_max ~seed in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_choice.Harness.Cli.make ~seed in
   let mk_app v =
     match app with
     | "discovery" -> Compose.Corollary5.app_ring_discovery
@@ -531,10 +533,10 @@ let baseline_arg =
           "chang-roberts | lelann | hirschberg-sinclair | peterson | \
            franklin | itai-rodeh.")
 
-let baseline n seed sched_name algo journal snapshot_every =
+let baseline n seed sched_choice algo journal snapshot_every =
   let ids = Ids.dense (Rng.create ~seed) ~n in
   let topo = Topology.oriented n in
-  let sched = scheduler_of_name sched_name ~seed in
+  let sched = sched_choice.Harness.Cli.make ~seed in
   let r =
     with_journal journal (fun sink ->
         match algo with
@@ -609,14 +611,14 @@ let sweep_topology_arg =
 (* The graph sweep: topology × seed × scheduler cells of the walk
    election (rings included — here they run through the graph engine,
    the walk of a ring being the ring itself). *)
-let gsweep topos seed sched_name csv jobs journal =
+let gsweep topos seed sched_choice csv jobs journal =
   let journal_oc = Option.map open_out journal in
   let ms =
     Harness.Sweep.gelection ~jobs
       ?journal:(Option.map (fun oc -> output_string oc) journal_oc)
       ~topologies:topos
       ~seeds:[ seed; seed + 1; seed + 2 ]
-      ~schedulers:[ (fun s -> scheduler_of_name sched_name ~seed:s) ]
+      ~schedulers:[ (fun seed -> sched_choice.Harness.Cli.make ~seed) ]
       ()
   in
   Option.iter close_out journal_oc;
@@ -651,9 +653,9 @@ let gsweep topos seed sched_name csv jobs journal =
   if List.for_all (fun (m : Harness.Sweep.gmeasurement) -> m.g_ok) ms then 0
   else 1
 
-let sweep seed sched_name algo csv jobs journal topologies =
+let sweep seed sched_choice algo csv jobs journal topologies =
   if topologies <> [] then
-    gsweep topologies seed sched_name csv (resolve_jobs jobs) journal
+    gsweep topologies seed sched_choice csv (resolve_jobs jobs) journal
   else
   let journal_oc = Option.map open_out journal in
   let measurements =
@@ -671,7 +673,7 @@ let sweep seed sched_name algo csv jobs journal topologies =
             ])
       ~ns:[ 2; 4; 8; 16; 32; 64; 128 ]
       ~seeds:[ seed; seed + 1; seed + 2 ]
-      ~schedulers:[ (fun s -> scheduler_of_name sched_name ~seed:s) ]
+      ~schedulers:[ (fun seed -> sched_choice.Harness.Cli.make ~seed) ]
       ()
   in
   Option.iter close_out journal_oc;
@@ -797,7 +799,7 @@ let print_batch_summary (o : Harness.Batch.outcome) =
    the single materialized graph (the line's seed draws the ids and
    the adversary; its algorithm and n fields are ring machinery and
    are ignored), fanned out job-per-job over the domain pool. *)
-let gbatch topo_spec specs sched_name jobs journal_dir shards events =
+let gbatch topo_spec specs sched_choice jobs journal_dir shards events =
   let module GE = Colring_graph.Gelection in
   let g = Harness.Topo.materialize ~default_n:8 topo_spec in
   let plan = GE.plan g in
@@ -817,7 +819,7 @@ let gbatch topo_spec specs sched_name jobs journal_dir shards events =
           if want_journal then Sink.jsonl_buffer ~events buf else Sink.null
         in
         let r =
-          GE.run_report plan ~ids ~sched:(scheduler_of_name sched_name ~seed)
+          GE.run_report plan ~ids ~sched:(sched_choice.Harness.Cli.make ~seed)
             ~sink ~seed
             ~workload:(Harness.Topo.to_string topo_spec)
         in
@@ -854,18 +856,18 @@ let gbatch topo_spec specs sched_name jobs journal_dir shards events =
   end;
   if ok = count then 0 else 1
 
-let batch spec_path sched_name jobs mode slots journal_dir shards events
+let batch spec_path sched_choice jobs mode slots journal_dir shards events
     topology =
   match Harness.Batch.parse_spec (read_spec_file spec_path) with
   | Error msg ->
       prerr_endline ("colring batch: " ^ msg);
       2
   | Ok specs when not (Harness.Topo.is_ring topology) ->
-      gbatch topology specs sched_name (resolve_jobs jobs) journal_dir shards
+      gbatch topology specs sched_choice (resolve_jobs jobs) journal_dir shards
         events
   | Ok specs ->
       let jobs = resolve_jobs jobs in
-      let sched seed = scheduler_of_name sched_name ~seed in
+      let sched seed = sched_choice.Harness.Cli.make ~seed in
       let run journal =
         Harness.Batch.run ~jobs ~mode ~slots ~events ?journal
           ~now:Unix.gettimeofday ~sched specs
@@ -897,8 +899,8 @@ let serve_result_line (s : Harness.Batch.spec) (r : Election.report) =
     (match r.Election.leader with Some v -> string_of_int v | None -> "none")
     r.Election.sends r.Election.deliveries
 
-let serve sched_name slots journal =
-  let sched seed = scheduler_of_name sched_name ~seed in
+let serve sched_choice slots journal =
+  let sched seed = sched_choice.Harness.Cli.make ~seed in
   let journal_oc = Option.map open_out journal in
   let emit = Option.map (fun oc _i chunk -> output_string oc chunk) journal_oc in
   let bad = ref 0 in

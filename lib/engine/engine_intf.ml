@@ -53,6 +53,12 @@ module type NETWORK = sig
   val enabled_count : 'm t -> int
   val enabled_link : 'm t -> after:int -> int
   val fingerprint : 'm t -> string
+
+  (* The model checker's dedup key: appends the send, delivery and
+     post-termination-delivery counters, then exactly the fields
+     [fingerprint] covers in its order, with the inspect values but not
+     their labels (see State_key). *)
+  val write_key : 'm t -> State_key.t -> unit
   val topology : 'm t -> topology
   val size : 'm t -> int
   val num_links : topology -> int

@@ -585,6 +585,24 @@ let fingerprint t =
   done;
   Buffer.contents buf
 
+(* The checker's key: the progress counters, then [fingerprint]'s
+   fields in its order, as varints and without the inspect labels. *)
+let write_key t w =
+  let m = t.metrics in
+  State_key.add_int w (Metrics.sends m);
+  State_key.add_int w (Metrics.deliveries m);
+  State_key.add_int w (Metrics.post_termination_deliveries m);
+  for link = 0 to Array.length t.channels - 1 do
+    State_key.add_int w (Envq.length t.channels.(link))
+  done;
+  for v = 0 to Array.length t.term - 1 do
+    State_key.add_int w (Ring.length t.mailboxes.(slot v Port.P0));
+    State_key.add_int w (Ring.length t.mailboxes.(slot v Port.P1));
+    State_key.add_int w (if t.term.(v) then 1 else 0);
+    State_key.add_output w t.outputs.(v);
+    State_key.add_inspect w ~node:v (t.programs.(v).inspect ())
+  done
+
 type pulse = unit
 
 let pulse = ()

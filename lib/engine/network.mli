@@ -50,7 +50,11 @@ type 'm program = {
       (** Called after every delivery to this node; must poll mailboxes
           to a fixpoint and return (never block). *)
   inspect : unit -> (string * int) list;
-      (** Named internal counters (ρ, σ, …) for invariant probes. *)
+      (** Named internal counters (ρ, σ, …) for invariant probes.  The
+          label list is a fixed schema per program: every call returns
+          the same labels in the same order, only the values change.
+          The model checker's {!write_key} leaves the labels out and
+          raises [Invalid_argument] when they change. *)
   snap : Engine_intf.snapshot option;
       (** Program-state codec for the model checker's incremental undo:
           [save] flattens the program's whole mutable state to ints,
@@ -199,6 +203,15 @@ val fingerprint : 'm t -> string
     contract): channel and mailbox depths, termination flags, outputs
     and inspect counters.  Two states print equal iff no monitor can
     tell them apart. *)
+
+val write_key : 'm t -> State_key.t -> unit
+(** Append the model checker's dedup key for the current state to a
+    writer: the send, delivery and post-termination-delivery counters,
+    then exactly the fields {!fingerprint} covers, in its order, as
+    varints.  Inspect labels are checked against the writer's recorded
+    schema instead of written ({!State_key.add_inspect}), so two
+    states get equal keys iff their counters and fingerprints are
+    equal.  Allocates only the key bytes and what [inspect] returns. *)
 
 val num_links : Topology.t -> int
 (** {!Topology.num_links}, re-exported so the ring engine satisfies

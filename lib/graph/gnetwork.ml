@@ -515,3 +515,23 @@ let fingerprint t =
     Buffer.add_char buf '|'
   done;
   Buffer.contents buf
+
+(* The checker's key, as in [Network.write_key]: progress counters,
+   then [fingerprint]'s fields in its order (the port count per node
+   is fixed by the topology, so it needs no prefix). *)
+let write_key t w =
+  let m = t.metrics in
+  State_key.add_int w (Metrics.sends m);
+  State_key.add_int w (Metrics.deliveries m);
+  State_key.add_int w (Metrics.post_termination_deliveries m);
+  for link = 0 to Array.length t.channels - 1 do
+    State_key.add_int w (Envq.length t.channels.(link))
+  done;
+  for v = 0 to Array.length t.term - 1 do
+    for p = 0 to Gtopology.degree t.topo v - 1 do
+      State_key.add_int w (mailbox_length t ~node:v ~port:p)
+    done;
+    State_key.add_int w (if t.term.(v) then 1 else 0);
+    State_key.add_output w t.outputs.(v);
+    State_key.add_inspect w ~node:v (t.programs.(v).inspect ())
+  done

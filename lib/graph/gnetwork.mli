@@ -33,6 +33,10 @@ type 'm program = {
   start : 'm api -> unit;
   wake : 'm api -> unit;
   inspect : unit -> (string * int) list;
+      (** Named internal counters; a fixed label schema per program,
+          as for {!Colring_engine.Network.program}: {!write_key} leaves
+          the labels out and raises [Invalid_argument] when they
+          change. *)
   snap : Colring_engine.Engine_intf.snapshot option;
       (** Program-state codec for the model checker's incremental undo
           (see {!Colring_engine.Network.program}).  [None] opts out. *)
@@ -129,7 +133,13 @@ val undo_step : 'm t -> 'm undo -> unit
 val fingerprint : 'm t -> string
 (** Canonical observable-state string, same shape as
     {!Colring_engine.Network.fingerprint} generalised to arbitrary
-    degree — the model checker's dedup key. *)
+    degree. *)
+
+val write_key : 'm t -> Colring_engine.State_key.t -> unit
+(** The model checker's dedup key, as
+    {!Colring_engine.Network.write_key}: progress counters, then
+    {!fingerprint}'s fields in its order, as varints, with the inspect
+    labels checked instead of written. *)
 
 val topology : 'm t -> Gtopology.t
 val size : 'm t -> int

@@ -19,6 +19,31 @@ let jobs ~flag = function
   | None -> Ok (Colring_runtime.Pool.default_jobs ())
   | Some v -> positive ~flag v
 
+type scheduler = { name : string; make : seed:int -> Colring_engine.Scheduler.t }
+
+let schedulers =
+  let module S = Colring_engine.Scheduler in
+  [
+    ("random", fun ~seed -> S.random (Colring_stats.Rng.create ~seed));
+    ("fifo", fun ~seed:_ -> S.fifo);
+    ("global-fifo", fun ~seed:_ -> S.global_fifo);
+    ("lifo", fun ~seed:_ -> S.lifo);
+    ("round-robin", fun ~seed:_ -> S.round_robin ());
+    ("bias-cw", fun ~seed:_ -> S.bias_direction ~cw:true);
+    ("bias-ccw", fun ~seed:_ -> S.bias_direction ~cw:false);
+  ]
+
+let scheduler_names = List.map fst schedulers
+
+let scheduler ~flag name =
+  match List.assoc_opt name schedulers with
+  | Some make -> Ok { name; make }
+  | None ->
+      Error
+        (Printf.sprintf "%s %s: unknown scheduler (expected one of %s)" flag
+           name
+           (String.concat ", " scheduler_names))
+
 let exit_or ~cmd = function
   | Ok v -> v
   | Error msg ->

@@ -38,21 +38,26 @@ let zero_stats =
 let bit l = 1 lsl l
 let subset m z = m land z = m
 
+(* The seen table maps a state key to the sleep masks it was expanded
+   under, in one mutable cell so a visit probes the table once. *)
+type masks = { mutable masks : int list }
+
 (* Prune a revisited state only when it was previously expanded under
    a sleep set included in the current one: everything the current
-   expansion would explore was already explored then. *)
-let seen_covers seen key z =
+   expansion would explore was already explored then.  Otherwise
+   record [z], dropping recorded masks that include it: [z] covers
+   every future sleep set they cover. *)
+let seen_visit seen key z =
   match Hashtbl.find_opt seen key with
-  | None -> false
-  | Some masks -> List.exists (fun m -> subset m z) masks
-
-let seen_add seen key z =
-  let masks =
-    match Hashtbl.find_opt seen key with None -> [] | Some ms -> ms
-  in
-  (* Recorded masks that include [z] are now redundant: [z] covers
-     every future sleep set they cover. *)
-  Hashtbl.replace seen key (z :: List.filter (fun m -> not (subset z m)) masks)
+  | None ->
+      Hashtbl.add seen key { masks = [ z ] };
+      false
+  | Some cell ->
+      if List.exists (fun m -> subset m z) cell.masks then true
+      else begin
+        cell.masks <- z :: List.filter (fun m -> not (subset z m)) cell.masks;
+        false
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit DFS accumulator (shared across engine instantiations) *)
@@ -164,16 +169,16 @@ module Make (N : Engine_intf.NETWORK) = struct
     in
     go 0
 
-  (* The dedup key extends the engine fingerprint with the monotone
-     send/delivery/drop counters: two states merge only when their
-     whole observable configuration AND their progress counters agree,
-     which keeps every safety monitor used here a function of the
-     state (see DESIGN.md section 9 for the soundness argument). *)
-  let state_key net =
-    let m = N.metrics net in
-    Printf.sprintf "%d/%d/%d#%s" (Metrics.sends m) (Metrics.deliveries m)
-      (Metrics.post_termination_deliveries m)
-      (N.fingerprint net)
+  (* The dedup key is the engine's compact key: the monotone
+     send/delivery/drop counters plus every field of the fingerprint,
+     so two states merge only when their whole observable
+     configuration AND their progress counters agree, which keeps
+     every safety monitor used here a function of the state (see
+     DESIGN.md section 9 for the soundness argument). *)
+  let state_key w net =
+    State_key.clear w;
+    N.write_key net w;
+    State_key.contents w
 
   let enabled_links net =
     let k = N.enabled_count net in
@@ -208,24 +213,18 @@ module Make (N : Engine_intf.NETWORK) = struct
      the canonicalizing link permutation, so covering works modulo the
      symmetry group.  Sound because the checked properties are
      required to be invariant under the declared symmetry. *)
-  let dedup_prune ctx seen net sleep (st : acc) =
+  let dedup_prune ctx seen w net sleep (st : acc) =
     ctx.spec.dedup
     &&
-    let key, mask =
+    let pruned =
       match ctx.spec.symmetry with
-      | None -> (state_key net, sleep)
+      | None -> seen_visit seen (state_key w net) sleep
       | Some f ->
           let s = f net in
-          (s.key, permute_mask s.perm sleep)
+          seen_visit seen s.key (permute_mask s.perm sleep)
     in
-    if seen_covers seen key mask then begin
-      st.dedup_pruned <- st.dedup_pruned + 1;
-      true
-    end
-    else begin
-      seen_add seen key mask;
-      false
-    end
+    if pruned then st.dedup_pruned <- st.dedup_pruned + 1;
+    pruned
 
   (* Source-set reduction: a delivery mutates only its destination
      node, so deliveries into distinct nodes commute, and the set of
@@ -278,6 +277,7 @@ module Make (N : Engine_intf.NETWORK) = struct
     let spec = ctx.spec in
     let st = fresh_acc () in
     let seen = Hashtbl.create 1024 in
+    let key = State_key.create () in
     let path = Array.make (spec.max_depth + 1) 0 in
     let plen = Array.length prefix in
     Array.blit prefix 0 path 0 plen;
@@ -301,7 +301,7 @@ module Make (N : Engine_intf.NETWORK) = struct
     let rec expand depth sleep =
       if running () then begin
         if depth > st.max_depth_seen then st.max_depth_seen <- depth;
-        if not (dedup_prune ctx seen !net sleep st) then begin
+        if not (dedup_prune ctx seen key !net sleep st) then begin
           (match tickets with
           | Some a ->
               if Atomic.fetch_and_add a 1 >= ticket_cap then begin
@@ -521,6 +521,7 @@ module Make (N : Engine_intf.NETWORK) = struct
     let spec = ctx.spec in
     let st = fresh_acc () in
     let seen = Hashtbl.create 1024 in
+    let key = State_key.create () in
     let q = Queue.create () in
     Queue.add ([||], 0) q;
     let fail prefix len v =
@@ -540,7 +541,7 @@ module Make (N : Engine_intf.NETWORK) = struct
       | None ->
           st.replayed <- st.replayed + plen;
           if plen > st.max_depth_seen then st.max_depth_seen <- plen;
-          if not (dedup_prune ctx seen net sleep st) then begin
+          if not (dedup_prune ctx seen key net sleep st) then begin
             (* Strict budget, as in [run_unit]: an unpayable state is
                neither counted nor expanded. *)
             if st.states >= max_states then begin

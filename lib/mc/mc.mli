@@ -49,6 +49,13 @@
       engine fingerprint extended with the monotone
       send/delivery/drop counters) are pruned when revisited under a
       sleep set that includes one they were already expanded under.
+      The key is the engine's compact
+      {!Colring_engine.Engine_intf.NETWORK.write_key} encoding of
+      exactly those fields ({!Colring_engine.State_key}: varints, no
+      [inspect] labels), so it merges the same states as the
+      fingerprint; a program whose [inspect] labels change makes
+      {!check} raise [Invalid_argument].  Each exploration unit owns
+      its writer and seen table and probes the table once per visit.
       With a {!sym} hook the key is the canonical representative's
       and the sleep mask travels through the canonicalizing link
       permutation, so anonymous-ring states merge modulo rotation.

@@ -46,6 +46,28 @@ let test_cli_jobs_default () =
   checkb "None resolves to default_jobs" true
     (Cli.jobs ~flag:"-j" None = Ok (Colring_runtime.Pool.default_jobs ()))
 
+let test_cli_scheduler () =
+  List.iter
+    (fun name ->
+      match Cli.scheduler ~flag:"--scheduler" name with
+      | Ok s ->
+          Alcotest.(check string) (name ^ " keeps its name") name s.Cli.name;
+          (* Every accepted name yields a scheduler that runs an
+             election to quiescence. *)
+          let r =
+            Election.run_report Election.Algo2 ~topo:(Topology.oriented 4)
+              ~ids:[| 2; 4; 1; 3 |] ~sched:(s.Cli.make ~seed:7)
+          in
+          checkb (name ^ " elects") true (Election.ok r)
+      | Error msg -> Alcotest.fail msg)
+    Cli.scheduler_names;
+  checkb "unknown name rejected, naming the flag" true
+    (is_error ~flag:"--scheduler" (Cli.scheduler ~flag:"--scheduler" "bogus"));
+  checkb "the error lists the accepted names" true
+    (match Cli.scheduler ~flag:"--scheduler" "bogus" with
+    | Error msg -> contains_sub msg "global-fifo"
+    | Ok _ -> false)
+
 let test_workload_shapes () =
   List.iter
     (fun (w : Workload.t) ->
@@ -282,6 +304,7 @@ let cli_tests =
   [
     Alcotest.test_case "validators" `Quick test_cli_validators;
     Alcotest.test_case "jobs default" `Quick test_cli_jobs_default;
+    Alcotest.test_case "scheduler names" `Quick test_cli_scheduler;
     Alcotest.test_case "topology grammar" `Quick test_topo_parse_round_trip;
     Alcotest.test_case "topology materializer" `Quick test_topo_materialize;
   ]

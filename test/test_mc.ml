@@ -223,6 +223,87 @@ let test_results_independent_of_jobs () =
     [ "algo2"; "algo3-improved"; "ablation:no-lag"; "franklin" ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden stats: the exact stats record of a fixed set of checks.  The
+   values were recorded with the decimal fingerprint dedup key, before
+   the compact State_key encoding replaced it; the two keys merge
+   exactly the same states, so every field must stay put.  Ring
+   targets run on [colring check -n 4 --seed 5]'s instance (ids drawn
+   with seed 5, topology seed 6); graph targets on their fixed
+   instances. *)
+
+let golden_stats ~states ~schedules ~replayed ~undone ~sleep ~dedup ~depth =
+  {
+    Mc.states;
+    schedules;
+    replayed_deliveries = replayed;
+    undone_deliveries = undone;
+    sleep_pruned = sleep;
+    dedup_pruned = dedup;
+    max_depth_seen = depth;
+    truncated = false;
+  }
+
+let golden_ring =
+  [
+    ( "algo1",
+      golden_stats ~states:17 ~schedules:1 ~replayed:136 ~undone:0 ~sleep:0
+        ~dedup:0 ~depth:16 );
+    ( "algo2",
+      golden_stats ~states:517 ~schedules:3 ~replayed:122 ~undone:593
+        ~sleep:491 ~dedup:116 ~depth:36 );
+    ( "algo3-doubled",
+      golden_stats ~states:151346 ~schedules:16 ~replayed:98 ~undone:273117
+        ~sleep:108989 ~dedup:121802 ~depth:60 );
+    ( "algo3-improved",
+      golden_stats ~states:47270 ~schedules:16 ~replayed:98 ~undone:82943
+        ~sleep:37372 ~dedup:35704 ~depth:36 );
+    ( "chang-roberts",
+      golden_stats ~states:14 ~schedules:1 ~replayed:91 ~undone:0 ~sleep:0
+        ~dedup:0 ~depth:13 );
+    ( "anon:relay",
+      golden_stats ~states:20 ~schedules:1 ~replayed:139 ~undone:0 ~sleep:14
+        ~dedup:14 ~depth:8 );
+  ]
+
+let golden_graph =
+  [
+    ( "walk:theta3",
+      golden_stats ~states:43 ~schedules:1 ~replayed:427 ~undone:0 ~sleep:0
+        ~dedup:6 ~depth:20 );
+    ( "walk:k4",
+      golden_stats ~states:41 ~schedules:1 ~replayed:418 ~undone:0 ~sleep:0
+        ~dedup:5 ~depth:20 );
+    ( "walk:bowtie",
+      golden_stats ~states:89 ~schedules:1 ~replayed:1379 ~undone:0 ~sleep:0
+        ~dedup:13 ~depth:30 );
+  ]
+
+let check_golden name jobs expected (got : Mc.stats) =
+  checkb (Printf.sprintf "%s -j %d stats" name jobs) true (got = expected);
+  checki (Printf.sprintf "%s -j %d states" name jobs) expected.Mc.states
+    got.Mc.states
+
+let test_golden_stats () =
+  let ring_ids = Ids.distinct (Rng.create ~seed:5) ~n:4 ~id_max:4 in
+  List.iter
+    (fun (target, expected) ->
+      let (Spec.Packed spec) = Spec.of_target target ~ids:ring_ids ~topo_seed:6 in
+      List.iter
+        (fun jobs ->
+          check_golden target jobs expected (Mc.check ~jobs spec).Mc.stats)
+        [ 1; 2 ])
+    golden_ring;
+  List.iter
+    (fun (target, expected) ->
+      let spec = Gspec.of_target target in
+      List.iter
+        (fun jobs ->
+          check_golden target jobs expected
+            (Gspec.Gmc.check ~jobs spec).Mc.stats)
+        [ 1; 2 ])
+    golden_graph
+
+(* ------------------------------------------------------------------ *)
 (* Replay: force_step-driven and Scheduler.of_schedule-driven runs
    land in the same state *)
 
@@ -465,6 +546,331 @@ let prop_undo_graph =
       let spec = Gspec.of_target "walk:theta3" in
       Graph_undo.holds ~make:spec.Gspec.Gmc.make inst)
 
+(* ------------------------------------------------------------------ *)
+(* State keys: the compact key of a state equals another's exactly
+   when the progress counters and the readable fingerprint do *)
+
+module Key_prop (N : Engine_intf.NETWORK) = struct
+  (* Up to [len] random forced deliveries on [net]. *)
+  let rec walk_on net rng len =
+    if len > 0 && N.enabled_count net > 0 then begin
+      let l = ref (N.enabled_link net ~after:(-1)) in
+      for _ = 1 to Rng.int rng (N.enabled_count net) do
+        l := N.enabled_link net ~after:!l
+      done;
+      N.force_step net ~link:!l;
+      walk_on net rng (len - 1)
+    end
+
+  let key w net =
+    State_key.clear w;
+    N.write_key net w;
+    State_key.contents w
+
+  let observed net =
+    let m = N.metrics net in
+    ( Metrics.sends m,
+      Metrics.deliveries m,
+      Metrics.post_termination_deliveries m,
+      N.fingerprint net )
+
+  (* Every state along [walks] random forced runs to quiescence, keyed
+     through one writer (as a checker unit does).  The key must map
+     one-to-one onto counters + fingerprint over all of them: whether
+     it does, and how many visits hit an already-seen state. *)
+  let agree ~make ~walks seed =
+    let rng = Rng.create ~seed in
+    let w = State_key.create () in
+    let by_key = Hashtbl.create 256 and by_obs = Hashtbl.create 256 in
+    let ok = ref true and revisits = ref 0 in
+    let visit net =
+      let k = key w net and o = observed net in
+      (match Hashtbl.find_opt by_obs o with
+      | Some k' ->
+          incr revisits;
+          if not (String.equal k k') then ok := false
+      | None -> Hashtbl.add by_obs o k);
+      match Hashtbl.find_opt by_key k with
+      | Some o' -> if o' <> o then ok := false
+      | None -> Hashtbl.add by_key k o
+    in
+    for _ = 1 to walks do
+      let net = make () in
+      visit net;
+      while N.enabled_count net > 0 do
+        walk_on net rng 1;
+        visit net
+      done
+    done;
+    (!ok, !revisits)
+end
+
+module Ring_key = Key_prop (Unify.Ring_network)
+module Graph_key = Key_prop (Colring_graph.Unified.Graph_network)
+
+(* Algorithms 1-3 and a payload-carrying classic on the ring engine;
+   the walk election on two graphs. *)
+let key_ring_targets = [ "algo1"; "algo2"; "algo3-improved"; "lelann" ]
+let key_graph_targets = [ "walk:theta3"; "walk:k4" ]
+
+let arb_key = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 10_000)
+
+let prop_key_ring target =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s key equal iff counters + fingerprint equal" target)
+    ~count:20 arb_key
+    (fun seed ->
+      let (Spec.Packed spec) = Spec.of_target target ~ids:(ids 4) ~topo_seed:2 in
+      fst (Ring_key.agree ~make:spec.Mc.make ~walks:16 seed))
+
+let prop_key_graph target =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s key equal iff counters + fingerprint equal" target)
+    ~count:20 arb_key
+    (fun seed ->
+      fst
+        (Graph_key.agree ~make:(Gspec.of_target target).Gspec.Gmc.make
+           ~walks:16 seed))
+
+(* The properties above are only worth something if equal states do
+   turn up: count them over a fixed range of instances. *)
+let test_key_properties_meet_equal_states () =
+  List.iter
+    (fun target ->
+      let (Spec.Packed spec) = Spec.of_target target ~ids:(ids 4) ~topo_seed:2 in
+      checkb (target ^ " revisits states") true
+        (snd (Ring_key.agree ~make:spec.Mc.make ~walks:16 0) > 0))
+    key_ring_targets;
+  List.iter
+    (fun target ->
+      checkb (target ^ " revisits states") true
+        (snd
+           (Graph_key.agree ~make:(Gspec.of_target target).Gspec.Gmc.make
+              ~walks:16 0)
+        > 0))
+    key_graph_targets
+
+(* Field by field: scripted nodes whose wake consumes nothing, driven
+   from outside through the captured api, so a state can differ from
+   another in exactly one fingerprint field.  Reachable states of the
+   real programs rarely do: their fields move together. *)
+type script = {
+  mutable x : int;  (** The one inspect counter. *)
+  mutable send : int -> unit;
+  mutable consume : int -> unit;
+  mutable set_output : Output.t -> unit;
+  mutable terminate : unit -> unit;
+}
+
+let script () =
+  { x = 0; send = ignore; consume = ignore; set_output = ignore; terminate = ignore }
+
+let ring_scripted s =
+  let port p = if p = 0 then Port.P0 else Port.P1 in
+  {
+    Network.start =
+      (fun api ->
+        s.send <- (fun p -> api.Network.send (port p) ());
+        s.consume <- (fun p -> ignore (api.Network.recv_pulse (port p)));
+        s.set_output <- api.Network.set_output;
+        s.terminate <- api.Network.terminate);
+    wake = (fun _ -> ());
+    inspect = (fun () -> [ ("x", s.x) ]);
+    snap = None;
+  }
+
+let graph_scripted s =
+  {
+    Colring_graph.Gnetwork.start =
+      (fun api ->
+        s.send <- (fun p -> api.Colring_graph.Gnetwork.send p ());
+        s.consume <- (fun p -> ignore (api.Colring_graph.Gnetwork.recv p));
+        s.set_output <- api.Colring_graph.Gnetwork.set_output;
+        s.terminate <- api.Colring_graph.Gnetwork.terminate);
+    wake = (fun _ -> ());
+    inspect = (fun () -> [ ("x", s.x) ]);
+    snap = None;
+  }
+
+module Separation (N : Engine_intf.NETWORK) = struct
+  module K = Key_prop (N)
+
+  let deliver_one net = N.force_step net ~link:(N.enabled_link net ~after:(-1))
+
+  (* Edits applied to a fresh network; each pair of results must have
+     equal keys exactly when counters + fingerprint are equal. *)
+  let edits ~ports : (string * ('m N.t -> script array -> unit)) list =
+    let consume_all s = for p = 0 to ports - 1 do s.consume p done in
+    let out o _ s = s.(0).set_output o in
+    [
+      ("nothing", fun _ _ -> ());
+      ("send 0", fun _ s -> s.(0).send 0);
+      ("send 1", fun _ s -> s.(1).send 0);
+      ( "send 0 then 1",
+        fun _ s ->
+          s.(0).send 0;
+          s.(1).send 0 );
+      ( "send 1 then 0",
+        fun _ s ->
+          s.(1).send 0;
+          s.(0).send 0 );
+      ( "deliver",
+        fun net s ->
+          s.(0).send 0;
+          deliver_one net );
+      ( "deliver, consume",
+        fun net s ->
+          s.(0).send 0;
+          deliver_one net;
+          Array.iter consume_all s );
+      ("terminate", fun _ s -> s.(0).terminate ());
+      ("leader", out Output.leader);
+      ("non-leader", out Output.non_leader);
+      ("cw port 0", out (Output.with_cw_port Port.P0 Output.empty));
+      ("cw port 1", out (Output.with_cw_port Port.P1 Output.empty));
+      ("value 0", out (Output.with_value 0 Output.empty));
+      ("value -1", out (Output.with_value (-1) Output.empty));
+      ("values [0]", out (Output.with_values [ 0 ] Output.empty));
+      ("values [1; 2]", out (Output.with_values [ 1; 2 ] Output.empty));
+      ("values [12]", out (Output.with_values [ 12 ] Output.empty));
+      ("x = 1 at 0", fun _ s -> s.(0).x <- 1);
+      ("x = 1 at 1", fun _ s -> s.(1).x <- 1);
+      ("x = -1 at 0", fun _ s -> s.(0).x <- -1);
+      ("x = 64 at 0", fun _ s -> s.(0).x <- 64);
+      (* These two encode to the same ints once the values list loses
+         its length prefix. *)
+      ("values [1] at 0", out (Output.with_values [ 1 ] Output.empty));
+      ( "x = 1 at 0, leader cw 1 values [0] at 1",
+        fun _ s ->
+          s.(0).x <- 1;
+          s.(1).set_output
+            (Output.with_values [ 0 ] (Output.with_cw_port Port.P1 Output.leader))
+      );
+    ]
+
+  let check ~make ~ports =
+    let results =
+      List.map
+        (fun (name, edit) ->
+          let net, scripts = make () in
+          edit net scripts;
+          let w = State_key.create () in
+          (name, K.key w net, K.observed net))
+        (edits ~ports)
+    in
+    List.iter
+      (fun (a, ka, oa) ->
+        List.iter
+          (fun (b, kb, ob) ->
+            checkb
+              (Printf.sprintf "%s vs %s: key equal iff observed equal" a b)
+              (oa = ob) (String.equal ka kb))
+          results)
+      results
+end
+
+module Ring_sep = Separation (Unify.Ring_network)
+module Graph_sep = Separation (Colring_graph.Unified.Graph_network)
+
+let test_key_separates_every_field () =
+  Ring_sep.check ~ports:2 ~make:(fun () ->
+      let scripts = Array.init 3 (fun _ -> script ()) in
+      (Network.create (Topology.oriented 3) (fun v -> ring_scripted scripts.(v)), scripts));
+  Graph_sep.check ~ports:3 ~make:(fun () ->
+      let scripts = Array.init 4 (fun _ -> script ()) in
+      ( Colring_graph.Gnetwork.create (Colring_graph.Gtopology.complete 4)
+          (fun v -> graph_scripted scripts.(v)),
+        scripts ))
+
+let test_varints_are_distinct () =
+  let key x =
+    let w = State_key.create () in
+    State_key.add_int w x;
+    State_key.contents w
+  in
+  let xs = [ 0; 1; -1; 63; -64; 64; -65; 8191; 8192; max_int; min_int ] in
+  let keys = List.map key xs in
+  checki "distinct single-int keys" (List.length xs)
+    (List.length (List.sort_uniq String.compare keys));
+  checki "small ints take one byte" 1 (String.length (key (-64)));
+  checkb "extremes fit nine bytes" true
+    (String.length (key max_int) <= 9 && String.length (key min_int) <= 9)
+
+(* The key walk itself allocates nothing: with programs whose inspect
+   returns the empty list, writing a key costs zero minor words once
+   the writer has grown and recorded the schema. *)
+let test_write_key_allocates_nothing () =
+  let measure write =
+    let w = State_key.create () in
+    write w;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      State_key.clear w;
+      write w
+    done;
+    Gc.minor_words () -. w0
+  in
+  let ring =
+    Network.create (Topology.oriented 5) (fun v ->
+        Colring_classic.Chang_roberts.program ~id:(v + 1))
+  in
+  ignore (Network.step ring Scheduler.fifo);
+  checkb "ring key walk allocates nothing" true
+    (measure (Network.write_key ring) < 1.);
+  let g = Colring_graph.Gtopology.complete 4 in
+  let silent =
+    {
+      Colring_graph.Gnetwork.start = (fun _ -> ());
+      wake = (fun _ -> ());
+      inspect = (fun () -> []);
+      snap = None;
+    }
+  in
+  let gnet = Colring_graph.Gnetwork.create g (fun _ -> silent) in
+  checkb "graph key walk allocates nothing" true
+    (measure (Colring_graph.Gnetwork.write_key gnet) < 1.)
+
+(* A program whose inspect labels change between calls breaks the
+   fixed-schema contract the label-free key relies on: the checker
+   must refuse it rather than merge distinct states. *)
+let test_changing_labels_rejected () =
+  let renaming ~id =
+    let p = Algo1.program ~id in
+    let woken = ref false in
+    {
+      p with
+      Network.wake =
+        (fun api ->
+          woken := true;
+          p.Network.wake api);
+      inspect =
+        (fun () ->
+          List.map
+            (fun (k, x) -> ((if !woken then "woken." ^ k else k), x))
+            (p.Network.inspect ()));
+    }
+  in
+  let spec =
+    {
+      (toy ~max_depth:16 ~monitor:(fun () _ -> None)) with
+      Mc.make =
+        (fun () ->
+          Network.create (Topology.oriented 2) (fun v -> renaming ~id:(v + 1)));
+      dedup = true;
+      expect_violation = false;
+    }
+  in
+  (match Mc.check spec with
+  | _ -> Alcotest.fail "Mc.check accepted changing inspect labels"
+  | exception Invalid_argument msg ->
+      checkb "the error names the node" true
+        (String.starts_with ~prefix:"State_key: node " msg));
+  (* Equal labels that are not physically equal strings pass. *)
+  let w = State_key.create () in
+  State_key.add_inspect w ~node:0 [ ("rho", 1) ];
+  State_key.add_inspect w ~node:0 [ (String.concat "" [ "rh"; "o" ], 2) ];
+  checki "fresh but equal labels accepted" 4 (String.length (State_key.contents w))
+
 let arb_ring_instance =
   QCheck.make
     ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
@@ -541,6 +947,21 @@ let () =
           Alcotest.test_case "undo-depth hybrid equivalence" `Quick
             test_undo_depth_hybrid_equivalence;
         ] );
+      ( "keys",
+        [
+          Alcotest.test_case "golden stats at -j 1 and -j 2" `Quick
+            test_golden_stats;
+          Alcotest.test_case "key properties meet equal states" `Quick
+            test_key_properties_meet_equal_states;
+          Alcotest.test_case "key separates every field" `Quick
+            test_key_separates_every_field;
+          Alcotest.test_case "varints are distinct" `Quick
+            test_varints_are_distinct;
+          Alcotest.test_case "changing inspect labels rejected" `Quick
+            test_changing_labels_rejected;
+          Alcotest.test_case "key walk allocates nothing" `Quick
+            test_write_key_allocates_nothing;
+        ] );
       ( "replay",
         [
           Alcotest.test_case "of_schedule matches force_step" `Quick
@@ -569,5 +990,9 @@ let () =
             prop_inductive_algo1;
             prop_inductive_algo2;
             prop_inductive_chang_roberts;
-          ] );
+          ]
+        @ List.map
+            (fun t -> QCheck_alcotest.to_alcotest t)
+            (List.map prop_key_ring key_ring_targets
+            @ List.map prop_key_graph key_graph_targets) );
     ]
